@@ -314,14 +314,6 @@ class _WorkerFailure:
     details: str = ""
 
 
-#: The pipeline being executed, published for forked workers.  Set by the
-#: parent immediately before forking the partition workers (children
-#: inherit it); pipelines never overlap — a probe pipeline only starts
-#: after the pipelines feeding its build side drained — so one slot
-#: suffices, with save/restore for in-process fallback nesting.
-_WORKER_STATE: _WorkerState | None = None
-
-
 def _morsel_seed(seed: int, morsel_index: int) -> int:
     """Deterministic per-morsel RNG seed, independent of worker scheduling."""
     return _mix64(seed ^ (_MORSEL_SEED_SALT * (morsel_index + 1)))
@@ -383,14 +375,13 @@ def _fold_batch(groups: dict, batch: list[Row], preagg: _PreAgg) -> None:
                 state.update_batch(list(map(arg_fn, rows_)))
 
 
-def _run_morsel(index: int) -> _MorselResult:
-    """Execute the published pipeline over one morsel of page groups.
+def _run_morsel(state: _WorkerState, index: int) -> _MorselResult:
+    """Execute ``state``'s pipeline over one morsel of page groups.
 
     Runs inside a forked worker (or inline on the serial fallback path).
     Returns per-group output batches (or pre-aggregated partials) and
     per-stage output counts, plus the collector partial for the morsel.
     """
-    state = _WORKER_STATE
     if state.runner is not None:
         return state.runner(index)
     started = time.perf_counter()
@@ -841,7 +832,9 @@ def _preagg_spec(node: HashAggregateNode, vectorized: bool) -> _PreAgg | None:
 # ----------------------------------------------------------------------
 
 
-def _partition_worker(partition_id, first, last, conn, sem, spill_path=None) -> None:
+def _partition_worker(
+    state, partition_id, first, last, conn, sem, spill_path=None
+) -> None:
     """One forked worker: execute a contiguous morsel range, in order.
 
     The semaphore is the staging window — the parent releases one permit
@@ -861,9 +854,9 @@ def _partition_worker(partition_id, first, last, conn, sem, spill_path=None) -> 
     try:
         for index in range(first, last):
             if sem.acquire(block=spill_path is None):
-                conn.send(_run_morsel(index))
+                conn.send(_run_morsel(state, index))
                 continue
-            result = _run_morsel(index)
+            result = _run_morsel(state, index)
             payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
             if spill_file is None:
                 spill_file = open(spill_path, "wb", buffering=0)
@@ -1040,8 +1033,10 @@ def _merged_results(
 ) -> Iterator[_MorselResult]:
     """Yield morsel results strictly in morsel order.
 
-    Owns the worker processes: ``_WORKER_STATE`` is published before the
-    partition workers fork (children inherit it), each worker computes its
+    Owns the worker processes: ``state`` reaches each forked partition
+    worker as a process argument (inherited with the fork, never pickled,
+    and private to this call, so concurrent sessions cannot see each
+    other's pipelines), each worker computes its
     contiguous morsel range bounded by its semaphore window, and the parent
     consumes partitions in partition order — which is morsel order, because
     the assignment is range-affine.  With ``spill_windows`` set
@@ -1052,81 +1047,78 @@ def _merged_results(
     spill telemetry.  The ``finally`` tears everything down even when the
     consumer abandons the stream mid-way.
     """
-    global _WORKER_STATE
-    previous = _WORKER_STATE
-    _WORKER_STATE = state
+    if not use_pool:
+        for index in range(len(state.morsels)):
+            yield _run_morsel(state, index)
+        return
+    bounds = _partition_morsels(state.morsels, state.groups, workers)
+    context = multiprocessing.get_context("fork")
+    partitions: list[_Partition] = []
+    spill_dir = None
+    if spill_windows is not None:
+        spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
     try:
-        if not use_pool:
-            for index in range(len(state.morsels)):
-                yield _run_morsel(index)
-            return
-        bounds = _partition_morsels(state.morsels, state.groups, workers)
-        context = multiprocessing.get_context("fork")
-        partitions: list[_Partition] = []
-        spill_dir = None
-        if spill_windows is not None:
-            spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
-        try:
-            for partition_id, (first, last) in enumerate(bounds):
-                sem = context.Semaphore(windows[partition_id])
-                recv_conn, send_conn = context.Pipe(duplex=False)
-                spill_path = None
-                stage_cap = 0
-                if spill_dir is not None:
-                    spill_path = os.path.join(
-                        spill_dir, f"part-{partition_id}.spill"
-                    )
-                    stage_cap = (
-                        windows[partition_id] + spill_windows[partition_id]
-                    )
-                process = context.Process(
-                    target=_partition_worker,
-                    args=(partition_id, first, last, send_conn, sem, spill_path),
-                    daemon=True,
-                )
-                process.start()
-                send_conn.close()
-                partitions.append(
-                    _Partition(
-                        partition_id, first, last, process, recv_conn, sem,
-                        spill_path=spill_path, stage_cap=stage_cap,
-                    )
-                )
-            if prefetch:
-                for partition in partitions:
-                    partition.start_reader()
-            spilled_partitions: set[int] = set()
-            for partition in partitions:
-                for __ in range(partition.first, partition.last):
-                    item, prefetched = partition.next_result()
-                    if item is None or isinstance(item, _WorkerFailure):
-                        failure = item or _WorkerFailure(
-                            partition.partition_id, "worker ended early"
-                        )
-                        raise ExecutionError(
-                            f"parallel worker for partition {failure.partition_id} "
-                            f"failed: {failure.message}\n{failure.details}"
-                        )
-                    if prefetched:
-                        telemetry.prefetched_morsels += 1
-                    if item.spilled:
-                        # The worker never acquired a permit for a spilled
-                        # result, so no release; count it instead.
-                        telemetry.rows_spilled += item.shipped_rows
-                        telemetry.morsels_spilled += 1
-                        if partition.partition_id not in spilled_partitions:
-                            spilled_partitions.add(partition.partition_id)
-                            telemetry.partitions_spilled += 1
-                    else:
-                        partition.sem.release()
-                    yield item
-        finally:
-            for partition in partitions:
-                partition.close()
+        for partition_id, (first, last) in enumerate(bounds):
+            sem = context.Semaphore(windows[partition_id])
+            recv_conn, send_conn = context.Pipe(duplex=False)
+            spill_path = None
+            stage_cap = 0
             if spill_dir is not None:
-                shutil.rmtree(spill_dir, ignore_errors=True)
+                spill_path = os.path.join(
+                    spill_dir, f"part-{partition_id}.spill"
+                )
+                stage_cap = (
+                    windows[partition_id] + spill_windows[partition_id]
+                )
+            process = context.Process(
+                target=_partition_worker,
+                args=(
+                    state, partition_id, first, last, send_conn, sem,
+                    spill_path,
+                ),
+                daemon=True,
+            )
+            process.start()
+            send_conn.close()
+            partitions.append(
+                _Partition(
+                    partition_id, first, last, process, recv_conn, sem,
+                    spill_path=spill_path, stage_cap=stage_cap,
+                )
+            )
+        if prefetch:
+            for partition in partitions:
+                partition.start_reader()
+        spilled_partitions: set[int] = set()
+        for partition in partitions:
+            for __ in range(partition.first, partition.last):
+                item, prefetched = partition.next_result()
+                if item is None or isinstance(item, _WorkerFailure):
+                    failure = item or _WorkerFailure(
+                        partition.partition_id, "worker ended early"
+                    )
+                    raise ExecutionError(
+                        f"parallel worker for partition {failure.partition_id} "
+                        f"failed: {failure.message}\n{failure.details}"
+                    )
+                if prefetched:
+                    telemetry.prefetched_morsels += 1
+                if item.spilled:
+                    # The worker never acquired a permit for a spilled
+                    # result, so no release; count it instead.
+                    telemetry.rows_spilled += item.shipped_rows
+                    telemetry.morsels_spilled += 1
+                    if partition.partition_id not in spilled_partitions:
+                        spilled_partitions.add(partition.partition_id)
+                        telemetry.partitions_spilled += 1
+                else:
+                    partition.sem.release()
+                yield item
     finally:
-        _WORKER_STATE = previous
+        for partition in partitions:
+            partition.close()
+        if spill_dir is not None:
+            shutil.rmtree(spill_dir, ignore_errors=True)
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,7 @@ from ..plans.physical import (
     StatsCollectorNode,
 )
 from ..stats.estimator import Estimator, RelProfile, profile_from_table_stats
+from ..stats.table_stats import TableStats
 from ..storage.catalog import Catalog
 from .cost_model import CostModel, OperatorCost, pages_for
 
@@ -69,6 +70,10 @@ class PlanAnnotator:
         #: Fragment-text memo shared across this annotator's lifetime (the
         #: DP enumerator re-annotates candidates over shared subtrees).
         self._fragment_memo: dict[int, str] = {}
+        #: (table, alias) -> (catalog stats, base profile): every index
+        #: nested-loops candidate re-reads its inner table's profile, which
+        #: only changes when the catalog's statistics object does.
+        self._base_profiles: dict[tuple[str, str], tuple[TableStats, RelProfile]] = {}
 
     def annotate(self, plan: PlanNode) -> PlanNode:
         """Annotate the whole tree bottom-up and return it."""
@@ -212,7 +217,12 @@ class PlanAnnotator:
 
     def _base_profile(self, table_name: str, alias: str) -> RelProfile:
         stats = self.catalog.stats_for(table_name)
-        return profile_from_table_stats(stats, alias)
+        cached = self._base_profiles.get((table_name, alias))
+        if cached is not None and cached[0] is stats:
+            return cached[1]
+        profile = profile_from_table_stats(stats, alias)
+        self._base_profiles[(table_name, alias)] = (stats, profile)
+        return profile
 
     def _annotate_seq_scan(self, node: SeqScanNode) -> None:
         stats = self.catalog.stats_for(node.table_name)
@@ -420,7 +430,7 @@ class PlanAnnotator:
         profile = RelProfile(
             rows=rows,
             row_bytes=child_profile.row_bytes,
-            columns=dict(child_profile.columns),
+            columns=child_profile.columns,
             aliases=child_profile.aliases,
         )
         node.est.profile = profile

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ..plans.logical import (
     AndPredicate,
@@ -49,12 +49,76 @@ DEFAULT_DISTINCT_FRACTION = 0.1
 MIN_ROWS = 1.0
 
 
+#: How one derived column is computed from its source: the source mapping,
+#: the row-scale factor and the new row count handed to ``_scale_column``.
+_Step = tuple[Mapping[str, ColumnStats], float, float]
+
+
+class LazyColumns(Mapping[str, ColumnStats]):
+    """Read-only column statistics of a derived relation, computed on read.
+
+    A join or filter changes the row count of its input, and every input
+    column's statistics must be rescaled to match (``_scale_column``).
+    Doing that for every column of every candidate the join enumerator
+    costs is most of the optimizer's time, yet a later predicate or join
+    reads only a few of them.  This mapping records, per column name, the
+    source mapping and the ``(scale, new_rows)`` step instead, and runs the
+    very same ``_scale_column`` call the first time a column is read —
+    ``[]``, ``get``, ``items``/``values`` or any other value access.  Key
+    operations (``in``, ``len``, iteration) never compute a column.
+
+    The result is memoized on the mapping.  Each column's value is a pure
+    function of its source, so two threads racing on a first read store
+    equal values and the memo needs no lock; cached plan templates share
+    these mappings across sessions.
+    """
+
+    __slots__ = ("_index", "_memo")
+
+    def __init__(
+        self,
+        index: dict[str, _Step],
+        explicit: dict[str, ColumnStats] | None = None,
+    ) -> None:
+        #: name -> step, in iteration order.
+        self._index = index
+        #: Columns computed so far, seeded with the ones given explicitly
+        #: (they must also be keys of ``index``).
+        self._memo: dict[str, ColumnStats] = explicit if explicit is not None else {}
+
+    def __getitem__(self, name: str) -> ColumnStats:
+        stats = self._memo.get(name)
+        if stats is None:
+            source, scale, new_rows = self._index[name]
+            stats = self._memo[name] = _scale_column(source[name], scale, new_rows)
+        return stats
+
+    def get(self, name: str, default=None):
+        if name in self._index:
+            return self[name]
+        return default
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return f"LazyColumns({len(self._memo)}/{len(self._index)} computed)"
+
+
 @dataclass(frozen=True)
 class RelProfile:
     """Statistics describing one (base or intermediate) relation.
 
     ``columns`` maps *qualified* column names (``alias.column``) to their
-    statistics; the per-column ``count`` fields track ``rows``.
+    statistics; the per-column ``count`` fields track ``rows``.  Profiles
+    derived by a join or filter hold a :class:`LazyColumns`, which computes
+    each column on its first read.
     """
 
     rows: float
@@ -249,36 +313,38 @@ class Estimator:
 
         Selectivities multiply (the independence assumption — deliberately:
         this is the error source correlated predicates exploit).  Column
-        statistics are restricted for predicates on specific columns and
-        scaled for everything else.
+        statistics are restricted for predicates on specific columns (kept
+        explicit) and scaled for everything else (lazily, on first read).
         """
         selectivity = 1.0
-        columns = dict(profile.columns)
-        restricted: set[str] = set()
+        restricted: dict[str, ColumnStats] = {}
         for pred in predicates:
             sel = self.selectivity(pred, profile)
             selectivity *= sel
             target = self._restriction_target(pred)
             if target is not None:
                 column, op, value = target
-                stats = columns.get(column)
+                stats = restricted.get(column)
+                if stats is None:
+                    stats = profile.columns.get(column)
                 if stats is not None:
-                    columns[column] = _restrict_column(stats, op, value)
-                    restricted.add(column)
+                    restricted[column] = _restrict_column(stats, op, value)
         selectivity = _clamp(selectivity)
         new_rows = max(MIN_ROWS, profile.rows * selectivity)
         scale = new_rows / max(profile.rows, 1.0)
-        final_columns: dict[str, ColumnStats] = {}
-        for name, stats in columns.items():
-            if name in restricted:
-                final_columns[name] = replace(stats, count=new_rows)
-            else:
-                final_columns[name] = _scale_column(stats, scale, new_rows)
+        step = (profile.columns, scale, new_rows)
+        columns = LazyColumns(
+            dict.fromkeys(profile.columns, step),
+            {
+                name: replace(stats, count=new_rows)
+                for name, stats in restricted.items()
+            },
+        )
         return (
             RelProfile(
                 rows=new_rows,
                 row_bytes=profile.row_bytes,
-                columns=final_columns,
+                columns=columns,
                 aliases=profile.aliases,
             ),
             selectivity,
@@ -344,15 +410,17 @@ class Estimator:
     def _joined_profile(
         self, left: RelProfile, right: RelProfile, cardinality: float
     ) -> RelProfile:
-        columns: dict[str, ColumnStats] = {}
+        # Right side wins on duplicate names, at the left side's position —
+        # exactly what filling one dict from both sides in turn would do.
+        index: dict[str, _Step] = {}
         for side in (left, right):
             scale = cardinality / max(side.rows, 1.0)
-            for name, stats in side.columns.items():
-                columns[name] = _scale_column(stats, min(scale, 1.0), cardinality)
+            step = (side.columns, min(scale, 1.0), cardinality)
+            index.update(dict.fromkeys(side.columns, step))
         return RelProfile(
             rows=cardinality,
             row_bytes=left.row_bytes + right.row_bytes,
-            columns=columns,
+            columns=LazyColumns(index),
             aliases=left.aliases | right.aliases,
         )
 

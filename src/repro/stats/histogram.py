@@ -219,16 +219,30 @@ class Histogram:
 
         Classic bucket-overlap estimation: within each overlap region assume
         uniform spread and compute ``n1 * n2 / max(d1, d2)``.
+
+        Both bucket lists are sorted with non-decreasing lows *and* highs
+        (neighbours may touch: ``nxt.low == prev.high``), so the buckets of
+        ``other`` overlapping one bucket of ``self`` form a contiguous run
+        whose start only moves right.  A two-pointer walk therefore visits
+        exactly the overlapping pairs of the all-pairs loop, in the same
+        order, and sums the same floats in the same sequence.
         """
         if self.is_empty or other.is_empty:
             return 0.0
         total = 0.0
+        others = other.buckets
+        count = len(others)
+        start = 0
         for b1 in self.buckets:
-            for b2 in other.buckets:
+            # Buckets wholly below b1 are below every later bucket of self.
+            while start < count and others[start].high < b1.low:
+                start += 1
+            k = start
+            while k < count and others[k].low <= b1.high:
+                b2 = others[k]
+                k += 1
                 lo = max(b1.low, b2.low)
                 hi = min(b1.high, b2.high)
-                if hi < lo:
-                    continue
                 f1 = b1.overlap_fraction(lo, hi)
                 f2 = b2.overlap_fraction(lo, hi)
                 n1 = b1.count * f1

@@ -15,6 +15,7 @@ but never what it computes.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from dataclasses import dataclass, field
@@ -87,11 +88,17 @@ class WorkloadReport:
 
 
 def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
+    """Nearest-rank percentile (deterministic, no interpolation).
+
+    The smallest value with at least ``q`` percent of the sample at or
+    below it: rank ``ceil(q / 100 * n)``, so p50 of six values is the third.
+    """
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = max(1, int(round(q / 100.0 * len(ordered) + 0.5)))
+    # q * n first: exact for integral q, where q / 100 * n can round up
+    # past an integer (0.7 * 10 == 7.000000000000001).
+    rank = max(1, math.ceil(q * len(ordered) / 100.0))
     return ordered[min(rank, len(ordered)) - 1]
 
 

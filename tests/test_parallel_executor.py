@@ -455,6 +455,32 @@ class TestEngineIntegration:
         assert par_ctx.parallel.workers == 1
         assert par_ctx.parallel.fallback_warned
 
+    def test_concurrent_sessions_keep_their_own_pipelines(self):
+        """Two server sessions forking morsel workers at the same time.
+
+        Each pipeline reaches its forked workers as a process argument; a
+        process-wide slot let one session's workers run the other's
+        pipeline (an IndexError on its morsel list, or no runner at all).
+        """
+        from repro.workloads import (
+            assert_parity,
+            build_tpcd_scripts,
+            run_concurrent,
+            run_serial,
+        )
+        from repro.workloads.tpcd import generate_tpcd
+
+        experiment = ExperimentConfig(scale_factor=0.002, seed=7)
+        db = Database(
+            experiment.engine_config().with_updates(
+                execution_mode="parallel", parallel_workers=2
+            )
+        )
+        generate_tpcd(db, experiment.tpcd_config())
+        scripts = build_tpcd_scripts(sessions=2, statements_per_session=6, seed=3)
+        serial_rows, __ = run_serial(db, scripts)
+        assert_parity(serial_rows, run_concurrent(db.server, scripts))
+
     def test_small_tables_stay_serial(self):
         db = Database()
         db.create_table("t", [("k", __import__("repro").DataType.INTEGER)])

@@ -624,3 +624,14 @@ class TestWorkloadDriver:
         assert percentile(values, 50) == 0.2
         assert percentile(values, 99) == 0.4
         assert percentile([], 50) == 0.0
+        six = [6.0, 1.0, 5.0, 2.0, 4.0, 3.0]
+        assert percentile(six, 50) == 3.0  # rank ceil(3.0), not round-half-even's 4th
+        assert percentile(six, 90) == 6.0
+        assert percentile(six, 0) == 1.0
+        ten = [float(i) for i in range(10, 0, -1)]
+        assert percentile(ten, 10) == 1.0
+        assert percentile(ten, 50) == 5.0
+        assert percentile(ten, 70) == 7.0  # 0.7 * 10 rounds up past 7
+        assert percentile(ten, 90) == 9.0
+        assert percentile(ten, 91) == 10.0
+        assert percentile(ten, 100) == 10.0
